@@ -6,8 +6,8 @@ affinity schemes) through each of the three backends —
 
 * ``ThreadBackend`` (in-process pool),
 * ``ProcessBackend`` (crash-isolated worker processes),
-* ``RemoteBackend`` against an in-process daemon shard speaking the
-  binary v3 protocol —
+* ``RemoteBackend`` against an in-process daemon shard over the
+  framed wire protocol —
 
 each against its own empty cache directory, and diffs the canonical
 JSON of the result lists byte for byte.  Any divergence (a backend
@@ -117,8 +117,7 @@ def main() -> int:
         shard = Session(name="parity-shard",
                         cache=ResultCache(directory=tmp / "shard"))
         server = make_server(("127.0.0.1", 0),
-                             lambda m: handle_request(shard, m),
-                             server_name="parity-shard")
+                             lambda m: handle_request(shard, m))
         serve_in_thread(server, "parity-shard")
         try:
             backend = RemoteBackend(f"127.0.0.1:{server.address[1]}")

@@ -13,7 +13,6 @@ from ..core import (
     ALL_SCHEMES,
     AffinityScheme,
     InfeasibleSchemeError,
-    JobRunner,
     TableResult,
 )
 from ..machine import longs
@@ -62,7 +61,8 @@ def ext_hybrid_scaling() -> TableResult:
 
     Extends the single-point `abl_hybrid` comparison into a scaling
     curve: at every socket count the hybrid variant uses the same cores
-    with half the ranks and a 2-thread team each.
+    with half the ranks and a 2-thread team each.  The hybrid cells
+    always run on the exact tier, whatever ``--tier`` says.
     """
     table = TableResult(
         title="extension: pure MPI vs hybrid MPI+OpenMP scaling (Longs, CG)",
@@ -74,9 +74,9 @@ def ext_hybrid_scaling() -> TableResult:
         cores = 2 * sockets
         pure = memo(("ext-hyb-pure", sockets), lambda: run(
             spec, NasCG(cores), AffinityScheme.TWO_MPI_LOCAL))
-        hybrid = memo(("ext-hyb-omp", sockets), lambda: JobRunner(
-            spec, hybrid_affinity(spec, sockets, 2)).run(
-                HybridNasCG(sockets, 2)))
+        hybrid = memo(("ext-hyb-omp", sockets), lambda: run(
+            spec, HybridNasCG(sockets, 2),
+            affinity=hybrid_affinity(spec, sockets, 2), tier="exact"))
         table.add_row(sockets, cores, pure.wall_time, hybrid.wall_time,
                       hybrid.messages / max(1, pure.messages))
     table.notes.append("the hybrid model eliminates intra-socket MPI "

@@ -16,16 +16,14 @@ Two tiers:
   ``REPRO_BENCH_CACHE_DIR``), so *reruns* of the bench pipeline are
   served from disk.
 
-Disk entries come in two storage formats, told apart by their first
-bytes: schema-2 entries are plain JSON objects (leading ``{``) and
-schema-3 entries are :mod:`repro.wire` framed binary (leading ``RW``
-magic).  New writes use the binary format (set
-``REPRO_BENCH_CACHE_FORMAT=json`` to keep writing schema 2); reads
-accept both, so upgrading never invalidates a warm cache.  The
-storage format is *not* part of the content address — keys still hash
-the schema-2 key layout — and the per-entry checksum is computed over
-the canonical JSON form of the result either way, so a binary entry
-and a JSON entry of the same result carry bit-identical checksums.
+Disk entries are written as schema-3 :mod:`repro.wire` framed binary
+(leading ``RW`` magic).  Reads also accept the older schema-2 entries,
+plain JSON objects (leading ``{``), so directories written before the
+binary format still hit.  The storage format is *not* part of the
+content address — keys still hash the schema-2 key layout — and the
+per-entry checksum is computed over the canonical JSON form of the
+result either way, so a binary entry and a JSON entry of the same
+result carry bit-identical checksums.
 
 Keys additionally fold in a **model fingerprint** — a hash over the
 source of every non-bench ``repro`` module — so editing the simulator
@@ -72,7 +70,7 @@ __all__ = [
 #: bump when the key layout or the *logical* entry schema changes;
 #: folded into every content address, so bumping it invalidates the
 #: whole cache — which is why the binary storage format below is a
-#: separate number
+#: separate number (schema-2 disk entries are the legacy JSON spelling)
 CACHE_SCHEMA = 2
 #: the framed-binary *storage* format (never part of the key payload:
 #: how an entry is spelled on disk must not change its address)
@@ -275,10 +273,9 @@ def parse_entry(raw: bytes) -> Dict:
 class ResultCache:
     """Two-tier (memory + on-disk) store of :class:`JobResult`.
 
-    Disk entries are written in the schema-3 framed binary format by
-    default (schema-2 JSON with ``binary=False`` or
-    ``REPRO_BENCH_CACHE_FORMAT=json``); reads accept both formats, so
-    mixed-schema directories stay fully usable.
+    Disk entries are written in the schema-3 framed binary format;
+    reads also accept schema-2 JSON entries, so directories written
+    before the binary format stay fully usable.
 
     Disk writes are atomic (temp file + fsync + ``os.replace``), so
     concurrent writers — the parallel sweep executor's workers — can
@@ -291,16 +288,10 @@ class ResultCache:
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None,
-                 enabled: bool = True, disk: bool = True,
-                 binary: Optional[bool] = None):
+                 enabled: bool = True, disk: bool = True):
         self.directory = Path(directory) if directory else _default_directory()
         self.enabled = enabled
         self.disk = disk
-        if binary is None:
-            binary = os.environ.get(
-                "REPRO_BENCH_CACHE_FORMAT", "binary") != "json"
-        #: write schema-3 binary entries (reads always accept both)
-        self.binary = binary
         self.stats = CacheStats()
         self._memory: Dict[str, JobResult] = {}
         self._disk_warned = False
@@ -308,6 +299,8 @@ class ResultCache:
     # -- paths ----------------------------------------------------------
 
     def _path(self, key: str) -> Path:
+        # ``.json`` whatever the format: doctor, disk_usage and external
+        # tools find entries by that suffix
         return self.directory / key[:2] / f"{key}.json"
 
     # -- tiers ----------------------------------------------------------
@@ -374,16 +367,10 @@ class ResultCache:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             result_data = result.to_dict()
-            check = result_checksum(result_data)
-            if self.binary:
-                payload = _frames.pack_frames(
-                    {"schema": CACHE_STORE_SCHEMA, "check": check,
-                     "result": result_data})
-                _metrics.inc("cache_store_binary_total")
-            else:
-                payload = json.dumps({"schema": CACHE_SCHEMA,
-                                      "check": check,
-                                      "result": result_data}).encode()
+            payload = _frames.pack_frames(
+                {"schema": CACHE_STORE_SCHEMA,
+                 "check": result_checksum(result_data),
+                 "result": result_data})
             _metrics.inc("cache_disk_write_bytes_total", len(payload))
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
@@ -442,8 +429,7 @@ def default_cache() -> ResultCache:
 
 def configure(enabled: Optional[bool] = None,
               directory: Optional[os.PathLike] = None,
-              disk: Optional[bool] = None,
-              binary: Optional[bool] = None) -> ResultCache:
+              disk: Optional[bool] = None) -> ResultCache:
     """Reconfigure the process-wide cache in place and return it."""
     cache = default_cache()
     if enabled is not None:
@@ -453,6 +439,4 @@ def configure(enabled: Optional[bool] = None,
         cache.clear_memory()
     if disk is not None:
         cache.disk = disk
-    if binary is not None:
-        cache.binary = binary
     return cache

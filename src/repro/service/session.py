@@ -689,10 +689,9 @@ class Session:
     def memo(self, key: Any, factory: Callable[[], Any]) -> Any:
         """Memoize ``factory()`` under an explicit hashable key.
 
-        The session-scoped replacement for the old module-global
-        ``bench.common.run_cached``: several paper tables are different
-        projections of the same sweep, and this keeps them sharing runs
-        without any cross-session leakage.
+        Several paper tables are different projections of the same
+        sweep; this keeps them sharing runs without any cross-session
+        leakage.
         """
         with self._lock:
             if key in self._memo:

@@ -16,8 +16,8 @@ Two layers, both pure stdlib:
     distinction a wire payload relies on).
 
 :mod:`~repro.wire.frames`
-    Length-prefixed framing for protocol v3 connections and schema-3
-    cache entries: a struct-packed header (magic, version, flags,
+    Length-prefixed framing for every service connection (protocol
+    v3) and schema-3 cache entries: a struct-packed header (magic, version, flags,
     payload length) followed by a codec payload.  Large messages
     stream as *chunked* continuation frames (the ``MORE`` flag bit)
     so a sweep-sized batch response never has to be buffered as one
@@ -27,8 +27,8 @@ Two layers, both pure stdlib:
 Nothing here changes *what* is said on the wire or stored in the
 cache — only how it is spelled.  sha256 checksums and cache content
 addresses are still computed over the canonical JSON form, so a
-binary entry and a JSON entry of the same result verify with
-bit-for-bit identical checksums.
+binary entry and a legacy schema-2 JSON entry of the same result
+verify with bit-for-bit identical checksums.
 """
 
 from .codec import decode, decode_value, encode, encode_value

@@ -19,15 +19,15 @@ encoded once; only the *framing* is incremental).
 
 The assembled payload is one :mod:`repro.wire.codec` value.  Readers
 reject wrong magic, unknown versions, oversized payloads, and
-truncated frames with :class:`~repro.errors.ProtocolError` — the same
-typed error the NDJSON layer uses, so transport error paths stay
-uniform across protocol versions.
+truncated frames with :class:`~repro.errors.ProtocolError`, the typed
+error a server answers with before it closes the connection.
 
 Schema-3 cache entries reuse the exact same layout: a cache file is
 one logical framed message whose payload is the entry dict.  The
 leading ``R`` byte (0x52) is the per-entry magic that tells a
 schema-3 binary entry apart from a schema-2 JSON entry (which always
-starts with ``{``).
+starts with ``{``; the cache still reads those, it no longer writes
+them).
 """
 
 from __future__ import annotations

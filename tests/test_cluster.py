@@ -2,10 +2,10 @@
 
 The load-bearing cluster promises:
 
-* The NDJSON transport survives hostile clients — malformed lines,
-  oversized lines, unknown ops, and mid-stream disconnects answer with
-  typed wire codes (or end that connection only) and the daemon stays
-  up for the next client.
+* The framed transport survives hostile clients — NDJSON lines,
+  garbage bytes, oversized frame headers, unknown ops, and mid-frame
+  disconnects answer with typed wire codes (or end that connection
+  only) and the daemon stays up for the next client.
 * A stale socket file from a crashed daemon is reclaimed; a live
   daemon on the same path is never clobbered.
 * Rendezvous hashing gives every content address a stable home shard
@@ -20,6 +20,7 @@ The load-bearing cluster promises:
 import json
 import os
 import socket
+import struct
 import threading
 
 import pytest
@@ -36,17 +37,18 @@ from repro.cluster import (
     trace_from_ledger,
 )
 from repro.service import Session
-from repro.service.daemon import TcpServiceServer, request_over_socket
-from repro.service.protocol import encode_line
+from repro.service.daemon import TcpServiceServer
 from repro.service.transport import (
-    MAX_LINE_BYTES,
-    TcpNdjsonServer,
+    Connection,
+    TcpServer,
     format_address,
+    make_server,
     parse_address,
     prepare_unix_socket,
     request,
     serve_in_thread,
 )
+from repro.wire import frames
 
 FAST_STREAM = {"workload": "stream", "system": "tiger", "ntasks": 2,
                "scheme": "default", "tier": "fast"}
@@ -114,7 +116,7 @@ def test_serve_rebinds_over_stale_socket(tmp_path):
         server = ServiceServer(str(path), session)
         serve_in_thread(server, "rebind-test")
         try:
-            reply = request_over_socket(str(path), {"op": "ping"})
+            reply = request(str(path), {"op": "ping"})
             assert reply["status"] == "ok"
         finally:
             server.shutdown()
@@ -122,7 +124,7 @@ def test_serve_rebinds_over_stale_socket(tmp_path):
     assert not os.path.exists(path)
 
 
-# -- NDJSON protocol error paths --------------------------------------------
+# -- framed protocol error paths ---------------------------------------------
 
 
 @pytest.fixture
@@ -140,41 +142,49 @@ def daemon(tmp_path):
         session.close()
 
 
-def test_malformed_json_line_answers_typed_and_keeps_connection(daemon):
-    with socket.create_connection(daemon.address, timeout=5.0) as sock:
-        stream = sock.makefile("rwb")
-        stream.write(b'{"op": nope}\n')
-        stream.flush()
-        reply = json.loads(stream.readline())
-        assert reply["status"] == "error"
-        assert reply["code"] == "protocol_error"
-        # the connection survives a garbage line: framing is intact
-        stream.write(encode_line({"op": "ping"}))
-        stream.flush()
-        assert json.loads(stream.readline())["status"] == "ok"
-
-
-def test_oversized_line_rejected_and_connection_dropped(daemon):
-    with socket.create_connection(daemon.address, timeout=5.0) as sock:
-        sock.sendall(b"x" * (MAX_LINE_BYTES + 16) + b"\n")
-        buffer = b""
-        while not buffer.endswith(b"\n"):
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            buffer += chunk
-        reply = json.loads(buffer)
-        assert reply["status"] == "error"
-        assert reply["code"] == "protocol_error"
-        assert "exceeds" in reply["message"]
-        # past an unterminated line the stream cannot be re-framed:
-        # the server must drop this connection
+def _answer_then_close(address, payload):
+    """Send raw bytes; return the one framed reply and what follows it."""
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.sendall(payload)
+        stream = sock.makefile("rb")
+        reply = frames.read_frame_message(stream)
         try:
-            leftover = sock.recv(65536)
+            leftover = stream.read()
         except OSError:
             leftover = b""
-        assert leftover == b""
+    return reply, leftover
+
+
+def test_ndjson_line_answers_protocol_error_and_closes(daemon):
+    reply, leftover = _answer_then_close(daemon.address,
+                                         b'{"op": "ping"}\n')
+    assert reply["status"] == "error"
+    assert reply["code"] == "protocol_error"
+    assert "magic" in reply["message"]
+    # past a bad header the stream cannot be re-framed: closed
+    assert leftover == b""
     # ...but only this connection — the daemon still serves
+    assert request(daemon.address, {"op": "ping"})["status"] == "ok"
+
+
+def test_garbage_bytes_answer_protocol_error_and_close(daemon):
+    wrong_version = struct.pack(">2sBBI", frames.FRAME_MAGIC, 2, 0, 1)
+    for payload in (b"\x00\xffgarbage bytes", wrong_version + b"x"):
+        reply, leftover = _answer_then_close(daemon.address, payload)
+        assert reply["code"] == "protocol_error"
+        assert leftover == b""
+    assert request(daemon.address, {"op": "ping"})["status"] == "ok"
+
+
+def test_oversized_frame_header_rejected_and_connection_dropped(daemon):
+    header = struct.pack(">2sBBI", frames.FRAME_MAGIC,
+                         frames.FRAME_VERSION, 0,
+                         frames.MAX_PAYLOAD_BYTES + 1)
+    reply, leftover = _answer_then_close(daemon.address, header)
+    assert reply["status"] == "error"
+    assert reply["code"] == "protocol_error"
+    assert "limit" in reply["message"]
+    assert leftover == b""
     assert request(daemon.address, {"op": "ping"})["status"] == "ok"
 
 
@@ -187,26 +197,55 @@ def test_unknown_op_answers_protocol_error(daemon):
     assert request(daemon.address, {"op": "ping"})["status"] == "ok"
 
 
-def test_non_object_line_answers_protocol_error(daemon):
+def test_non_object_frame_answers_protocol_error(daemon):
     with socket.create_connection(daemon.address, timeout=5.0) as sock:
-        stream = sock.makefile("rwb")
-        stream.write(b"[1, 2, 3]\n")
-        stream.flush()
-        reply = json.loads(stream.readline())
+        stream = sock.makefile("rb")
+        frames.write_frame_message(sock, [1, 2, 3])
+        reply = frames.read_frame_message(stream)
         assert reply["status"] == "error"
         assert reply["code"] == "protocol_error"
+        # the framing is intact, so the connection keeps serving
+        frames.write_frame_message(sock, {"op": "ping"})
+        assert frames.read_frame_message(stream)["status"] == "ok"
 
 
 def test_midstream_disconnect_leaves_daemon_up(daemon):
-    # half a request line, then vanish
+    ping = frames.pack_frames({"op": "ping"})
+    # half a frame header, then vanish
     sock = socket.create_connection(daemon.address, timeout=5.0)
-    sock.sendall(b'{"op": "pi')
+    sock.sendall(ping[:3])
+    sock.close()
+    # a whole header and half the payload, then vanish
+    sock = socket.create_connection(daemon.address, timeout=5.0)
+    sock.sendall(ping[:frames.HEADER_BYTES + 2])
     sock.close()
     # a full request, then vanish before reading the reply
     sock = socket.create_connection(daemon.address, timeout=5.0)
-    sock.sendall(encode_line({"op": "stats"}))
+    sock.sendall(frames.pack_frames({"op": "stats"}))
     sock.close()
     assert request(daemon.address, {"op": "ping"})["status"] == "ok"
+
+
+def test_one_shot_request_round_trips_over_unix_and_tcp(tmp_path):
+    def echo(message):
+        return {"status": "ok", "op": message.get("op"),
+                "echo": message.get("payload")}
+
+    payload = {"floats": [0.1, 2.5e-300], "text": "ünïcode", "n": 2**70}
+    for address in (str(tmp_path / "echo.sock"), "127.0.0.1:0"):
+        server = make_server(address, echo)
+        serve_in_thread(server, "echo")
+        try:
+            reply = request(server.address,
+                            {"op": "echo", "payload": payload})
+            assert reply == {"status": "ok", "op": "echo",
+                             "echo": payload}
+            with Connection(server.address) as conn:
+                for _ in range(3):
+                    assert conn.request({"op": "ping"})["op"] == "ping"
+        finally:
+            server.shutdown()
+            server.close()
 
 
 # -- rendezvous hashing ------------------------------------------------------
@@ -252,7 +291,7 @@ class FakeShard:
     def __init__(self, name):
         self.name = name
         self.served = 0
-        self.server = TcpNdjsonServer(("127.0.0.1", 0), self.handle)
+        self.server = TcpServer(("127.0.0.1", 0), self.handle)
         serve_in_thread(self.server, name)
 
     @property
@@ -456,7 +495,7 @@ def test_replay_preserves_coalescing_cluster_wide(tmp_path):
         shards.append((f"shard-{i}", server.address))
     router = Router(shards, retries=1, backoff_s=0.02,
                     request_timeout_s=60.0)
-    front = TcpNdjsonServer(("127.0.0.1", 0), router.handle_message)
+    front = TcpServer(("127.0.0.1", 0), router.handle_message)
     serve_in_thread(front, "router-front")
     try:
         trace = [{"t": 0.0, "cell": dict(cell)}

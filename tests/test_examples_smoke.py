@@ -18,9 +18,7 @@ FAST_EXAMPLES = ["quickstart.py", "mpi_comparison.py",
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)
 def test_example_runs(script):
-    # -W error::DeprecationWarning: examples must use the Session API,
-    # never the deprecated shims (those are exercised only in
-    # tests/test_deprecations.py)
+    # -W error::DeprecationWarning: examples must run warning-free
     result = subprocess.run(
         [sys.executable, "-W", "error::DeprecationWarning",
          str(EXAMPLES / script)],

@@ -1,8 +1,8 @@
 """The binary wire layer: codec, frames, and the mixed-schema cache.
 
 Protocol v3 and cache schema 3 share one invariant: a binary round
-trip must be observationally identical to the JSON round trip it
-replaces — same values, same checksums, same cache keys.  These tests
+trip must be observationally identical to a JSON round trip — same
+values, same checksums, same cache keys.  These tests
 pin that equivalence for every wire shape the service speaks, plus
 the rejection paths (truncated frames, wrong magic, unknown tags).
 """
@@ -24,12 +24,7 @@ from repro.core.cache import (
 from repro.core.parallel import JobRequest, run_request
 from repro.errors import ProtocolError
 from repro.machine import tiger
-from repro.service.protocol import (
-    PROTOCOL_VERSIONS,
-    cell_from_wire,
-    handle_request,
-    hello_response,
-)
+from repro.service.protocol import cell_from_wire, handle_request
 from repro.service.session import Session
 from repro.wire import codec, frames
 
@@ -180,8 +175,6 @@ def test_service_wire_shapes_survive_binary_identically(tmp_path):
     try:
         shapes = [
             handle_request(session, {"op": "ping"}),
-            hello_response({"op": "hello", "protocol": 3})[0],
-            hello_response({"op": "hello", "protocol": 99})[0],
             handle_request(session, {"op": "stats"}),
             handle_request(session, {"op": "nonsense"}),  # protocol_error
             {"status": "ok", "op": "submit", "source": "executed",
@@ -201,17 +194,6 @@ def test_service_wire_shapes_survive_binary_identically(tmp_path):
         assert framed == via_json
 
 
-def test_hello_reports_versions_and_downgrade_path():
-    response, selected = hello_response({"op": "hello", "protocol": 3})
-    assert response["status"] == "ok" and selected == 3
-    assert response["protocol_versions"] == list(PROTOCOL_VERSIONS)
-    response, selected = hello_response({"op": "hello", "protocol": 99})
-    assert response["status"] == "error"
-    assert response["code"] == "protocol_error"
-    assert selected == 2  # server keeps speaking NDJSON
-    assert response["protocol_versions"] == list(PROTOCOL_VERSIONS)
-
-
 def test_wire_cell_round_trips_through_cell_from_wire():
     cell = {"system": "tiger", "workload": "stream", "ntasks": 4,
             "scheme": "interleave", "tier": "exact"}
@@ -221,13 +203,23 @@ def test_wire_cell_round_trips_through_cell_from_wire():
 
 # -- mixed-schema cache directories ------------------------------------------
 
+def _plant_schema2_entry(directory, key, result):
+    """Write ``result`` as a schema-2 JSON entry, the pre-binary format."""
+    data = result.to_dict()
+    path = ResultCache(directory=directory)._path(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"schema": CACHE_SCHEMA,
+                                "check": result_checksum(data),
+                                "result": data}))
+    return path
+
+
 def test_cache_mixes_schema2_json_and_schema3_binary(tmp_path):
     from repro.bench.chaos import _QuickWorkload
 
-    json_cache = ResultCache(directory=tmp_path, binary=False)
     request = JobRequest(spec=tiger(), workload=_QuickWorkload())
-    original = run_request(request, cache=json_cache)
-    path_v2 = json_cache._path(request.key())
+    original = request.execute()
+    path_v2 = _plant_schema2_entry(tmp_path, request.key(), original)
     assert path_v2.read_bytes()[:1] == b"{"  # schema-2 JSON on disk
 
     binary_cache = ResultCache(directory=tmp_path)
@@ -257,8 +249,8 @@ def test_cache_format_is_storage_only_never_in_the_key(tmp_path):
     from repro.bench.chaos import _QuickWorkload
 
     request = JobRequest(spec=tiger(), workload=_QuickWorkload())
-    json_cache = ResultCache(directory=tmp_path, binary=False)
-    original = run_request(request, cache=json_cache)
+    original = request.execute()
+    _plant_schema2_entry(tmp_path, request.key(), original)
 
     warm = ResultCache(directory=tmp_path)  # binary-writing reader
     assert warm.get(request.key()).to_dict() == original.to_dict()
